@@ -17,7 +17,15 @@ from repro.exceptions import ConfigurationError
 
 
 class LogisticRegressionClassifier(Classifier):
-    """Softmax regression with L2 regularisation."""
+    """Softmax regression with L2 regularisation.
+
+    Weights start at zero on a new instance, and every fit continues
+    gradient descent from the current ``weight``/``bias``.  A one-shot fit
+    on a fresh instance is plain zero-initialised descent; repeated fits
+    on one instance (the joint EM's M-steps, paper Section V) warm-start
+    from the previous solution, so a refit on slightly moved soft labels
+    takes a few epochs.  Build a new instance to train from scratch.
+    """
 
     def __init__(
         self,
@@ -52,7 +60,12 @@ class LogisticRegressionClassifier(Classifier):
     def fit_soft(self, x, soft_labels,
                  sample_weights: Optional[np.ndarray] = None
                  ) -> "LogisticRegressionClassifier":
-        """Fit multinomial logistic weights to soft labels by gradient descent."""
+        """Fit multinomial logistic weights to soft labels by gradient descent.
+
+        Descent starts from the current weights (zero on a fresh instance)
+        and stops after ``epochs`` steps or once the loss moves by less
+        than ``tol``.
+        """
         x, soft = self._check_xy(x, soft_labels)
         n = x.shape[0]
         if sample_weights is None:
@@ -65,8 +78,6 @@ class LogisticRegressionClassifier(Classifier):
                 )
             w = w / w.sum()
 
-        self.weight = np.zeros((self.n_features, self.n_classes))
-        self.bias = np.zeros(self.n_classes)
         prev_loss = np.inf
         for _ in range(self.epochs):
             proba = self._softmax(x @ self.weight + self.bias)

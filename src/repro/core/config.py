@@ -24,7 +24,11 @@ def default_classifier_factory(n_features: int, n_classes: int,
                                rng: SeedLike = None) -> Classifier:
     """Default ``phi``: logistic regression (fast, convex, soft-label aware).
 
-    The paper uses a small fully-connected network; swap in
+    The environment calls the factory once per episode for the joint EM's
+    ``phi``, whose refits then continue from the previous weights, and
+    once per fresh fit elsewhere (the PM enrichment retrain, baselines),
+    where the new instance starts from zero.  The paper uses a small
+    fully-connected network; swap in
     :class:`repro.classifiers.mlp.MLPClassifier` via
     :attr:`CrowdRLConfig.classifier_factory` to match it exactly (slower).
     """
@@ -93,7 +97,8 @@ class CrowdRLConfig:
     max_iterations:
         Safety cap on labelling iterations.
     classifier_factory:
-        Builds a fresh ``phi`` given (n_features, n_classes, rng).
+        Builds a fresh ``phi`` given (n_features, n_classes, rng): once per
+        episode for joint inference, once per fit for fresh retrains.
     info_gain_weight / agreement_weight / pair_cost_weight:
         Dense per-action reward shaping added to the paper's iteration-level
         reward so the DQN gets a learnable signal within one episode (the

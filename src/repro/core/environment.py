@@ -6,6 +6,11 @@ confident predictions (Algorithm 1 lines 4-14), (2) after new answers
 arrive, runs the joint truth-inference model over all answered objects, and
 (3) refreshes the learning-side annotator-quality estimates that feed the
 State's quality column.
+
+An environment lives for one episode.  It builds its joint-inference state
+(one :class:`~repro.inference.joint.JointInference` and its classifier) the
+first time the joint path applies and re-runs that same state on every later
+iteration, so each EM warm-starts from the previous one.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ class Environment:
         self.config = config
         self._rng = as_rng(rng)
         self.classifier: Optional[Classifier] = None
+        #: The episode's joint-EM state, built on first use.
+        self._joint: Optional[JointInference] = None
         #: Inferred labels for human-answered objects.
         self.truths: dict[int, int] = {}
         #: Posteriors backing those labels.
@@ -91,22 +98,23 @@ class Environment:
             self.config.classifier_weight > 0
             and len(answers) >= self.config.min_labels_for_classifier
         ):
-            classifier = self.config.classifier_factory(
-                self.features.shape[1], self.platform.n_classes, self._rng
-            )
-            joint = JointInference(
-                classifier,
-                self.features,
-                expert_mask=self.platform.pool.expert_mask,
-                expert_floor=self.config.expert_floor,
-                classifier_weight=self.config.classifier_weight,
-                max_iter=self.config.inference_max_iter,
-            )
-            result = joint.infer(
+            if self._joint is None:
+                self._joint = JointInference(
+                    self.config.classifier_factory(
+                        self.features.shape[1], self.platform.n_classes,
+                        self._rng,
+                    ),
+                    self.features,
+                    expert_mask=self.platform.pool.expert_mask,
+                    expert_floor=self.config.expert_floor,
+                    classifier_weight=self.config.classifier_weight,
+                    max_iter=self.config.inference_max_iter,
+                )
+            result = self._joint.infer(
                 answers, self.platform.n_classes, len(self.platform.pool)
             )
-            if joint.fitted_classifier is not None:
-                self.classifier = joint.fitted_classifier
+            if self._joint.fitted_classifier is not None:
+                self.classifier = self._joint.fitted_classifier
         else:
             result = MajorityVote(rng=self._rng).infer(
                 answers, self.platform.n_classes, len(self.platform.pool)
@@ -162,7 +170,7 @@ class Environment:
             self.classifier = self.config.classifier_factory(
                 self.features.shape[1], self.platform.n_classes, self._rng
             )
-            with phase_timer("retrain"):
+            with phase_timer("enrich.retrain"):
                 self.classifier.fit(self.features[ids], y)
 
         keep = np.ones(self.platform.n_objects, dtype=bool)

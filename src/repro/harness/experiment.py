@@ -8,7 +8,7 @@ framework differs, so metric gaps are attributable to the framework.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -205,16 +205,18 @@ def make_framework(name: str, setting: ExperimentSetting,
 
 _RL_FRAMEWORKS = ("CrowdRL", "M1", "M2", "M3")
 
-#: Offline-trained policy weights, keyed by pool shape.  The paper trains
-#: its policy offline once and reuses it online (Section VI-A4); caching
-#: mirrors that and keeps figure sweeps fast.
-_PRETRAINED_POLICIES: dict = {}  # repro: process-local — per-process cache; pretraining runs on a dedicated offline RNG stream, so a cold cache retrains to the same weights and cache warmth changes wall-time only, never results
+#: Offline-trained policy weights, keyed by pool shape and framework
+#: config.  The paper trains its policy offline once and reuses it online
+#: (Section VI-A4); caching mirrors that and keeps figure sweeps fast.
+_PRETRAINED_POLICIES: dict = {}  # repro: process-local — per-process cache keyed by everything pretraining reads, on a dedicated offline RNG stream, so a cold cache retrains to the same weights and cache warmth changes wall-time only, never results
 
 
 def clear_pretrained_policies() -> None:
     """Empty the module-global offline-policy cache.
 
-    Pretraining draws from a *dedicated* offline RNG stream (never the
+    The cache key holds everything pretraining reads (pool shape and the
+    framework's whole config, e.g. the M1-M3 ablation switches), and
+    pretraining draws from a *dedicated* offline RNG stream (never the
     framework's online stream), so a cache miss retrains to exactly the
     weights a hit would have returned: clearing the cache costs wall-time
     but never changes results.  Tests clear it anyway to keep runs
@@ -239,15 +241,17 @@ def _cross_train(config: CrowdRLConfig, setting: ExperimentSetting):
     data — here generic synthetic labelling tasks of comparable shape — so
     the Q-network starts from an informed policy instead of from scratch.
     Returns the trained policy weights (the caller installs them on its
-    framework), cached per pool shape and reused, as the paper's one-off
-    offline training is.  The episodes run on a scratch framework whose
-    stream is seeded by :data:`_OFFLINE_TRAIN_SEED`, so the cached
-    weights depend only on the pool shape and the evaluation framework's
-    online stream is untouched either way.
+    framework), cached per pool shape and config and reused, as the
+    paper's one-off offline training is.  The episodes run on a scratch
+    framework whose stream is seeded by :data:`_OFFLINE_TRAIN_SEED`, so
+    the cached weights depend only on the cache key and the evaluation
+    framework's online stream is untouched either way.
     """
     from repro.datasets.synthetic import make_blobs  # local: avoids cycle
 
-    key = (setting.n_workers, setting.n_experts)
+    # Everything the pretraining episodes read: the pool shape below and
+    # the scratch framework's config (ablation switches included).
+    key = (setting.n_workers, setting.n_experts, astuple(config))
     if key in _PRETRAINED_POLICIES:
         return _PRETRAINED_POLICIES[key]
 

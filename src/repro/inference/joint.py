@@ -15,6 +15,12 @@ M-step confusion update uses soft counts (the paper's hard-indicator
 formula in the soft-posterior limit), and expert rows are bounded below so
 an EM run cannot demote an expert (Section V-A2; see DESIGN.md for how we
 resolve the garbled printed formula).
+
+One :class:`JointInference` lives for a whole labelling episode and each
+call warm-starts from the last (see the class docstring).  The classifier's
+M-step takes gradient steps from the previous ``Theta`` instead of
+maximising from scratch, so the procedure is a *generalised* EM: each
+M-step improves, rather than maximises, the classifier term.
 """
 
 from __future__ import annotations
@@ -70,10 +76,21 @@ def _e_step_posteriors(
 class JointInference(TruthInference):
     """EM over classifier parameters, confusion matrices and truths.
 
+    The instance keeps the posteriors of its last :meth:`infer`.  The next
+    call starts every object it has seen before from that posterior, and
+    only new objects from majority vote.  Confusions and the classifier
+    term are not carried over: the first M-step recomputes both from the
+    starting posteriors.  The classifier itself is refitted in place, so a
+    warm-starting classifier such as
+    :class:`~repro.classifiers.logistic.LogisticRegressionClassifier`
+    continues from the weights of the previous M-step.  Run on unchanged
+    answers after a converged call, the EM therefore stops within a sweep
+    or two at the same labels.
+
     Parameters
     ----------
     classifier:
-        Any :class:`~repro.classifiers.base.Classifier`; retrained on soft
+        Any :class:`~repro.classifiers.base.Classifier`; refitted on soft
         labels every M-step (its final fit is exposed as
         :attr:`fitted_classifier` and doubles as the framework's ``phi``).
     features:
@@ -153,6 +170,8 @@ class JointInference(TruthInference):
         self.refit_every = refit_every
         self.learn_prior = learn_prior
         self.fitted_classifier: Optional[Classifier] = None
+        #: Posteriors from the last :meth:`infer`, the next call's start.
+        self._last_posteriors: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def infer(self, answers: AnswerMap, n_classes: int,
@@ -176,12 +195,16 @@ class JointInference(TruthInference):
 
         x = self.features[object_ids]
 
-        # ---- Initialise q(y) with majority voting ----
+        # ---- Initialise q(y): last call's posterior, else majority vote ----
         post = np.zeros((len(object_ids), n_classes))
         for row, oid in enumerate(object_ids):
+            previous = self._last_posteriors.get(oid)
+            if previous is not None:
+                post[row] = previous
+                continue
             for answer in answers[oid].values():
                 post[row, answer] += 1
-        post /= post.sum(axis=1, keepdims=True)
+            post[row] /= post[row].sum()
 
         confusions = np.full(
             (n_annotators, n_classes, n_classes), 1.0 / n_classes
@@ -248,6 +271,7 @@ class JointInference(TruthInference):
             registry.inc("infer.em_hit_max_iter")
 
         posteriors = {oid: post[row] for row, oid in enumerate(object_ids)}
+        self._last_posteriors = posteriors
         seen = {
             j for oid in object_ids for j in answers[oid]
         }

@@ -3,7 +3,9 @@
 Backs ``python -m repro.obs report``: reads an event log written by
 ``run_experiment(..., metrics_out=...)`` (or any
 :class:`~repro.obs.events.JsonlEventLog`), and summarises where the
-episode's wall time and labelling budget went.
+episode's wall time and labelling budget went.  Phase names nest by dots:
+``infer.refit`` runs inside ``infer``, so time shares are taken over the
+top-level phases only and nesting phases also show their self time.
 
 The final ``snapshot`` event is the preferred source (it carries the full
 registry state: phase stats, counters, gauges); when a log carries only
@@ -75,23 +77,57 @@ def budget_by_phase(counters: Dict[str, float]) -> Dict[str, float]:
     }
 
 
+def _parent(name: str, names: set) -> Optional[str]:
+    """The longest dotted prefix of ``name`` that is itself a row, if any."""
+    parts = name.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        prefix = ".".join(parts[:cut])
+        if prefix in names:
+            return prefix
+    return None
+
+
 def _phase_rows(summary: dict) -> List[List[object]]:
+    """One row per phase; ``a.b`` nests inside ``a`` when ``a`` is a row.
+
+    ``time %`` is a share of the summed *top-level* phase time, so nested
+    phases are not counted twice and the top-level rows sum to 100%.
+    ``self s`` (rows with nested children only) is the phase's total
+    minus its direct children's totals.
+    """
     phases = summary["phases"]
     budgets = budget_by_phase(summary["counters"])
-    total_time = sum(s["total_s"] for s in phases.values()) or 1.0
-    names = sorted(set(phases) | set(budgets))
+    known = set(phases) | set(budgets)
+    names = sorted(known)
+
+    def total(name: str) -> float:
+        return phases.get(name, {}).get("total_s", 0.0)
+
+    child_time: Dict[str, float] = {}
+    top_time = 0.0
+    for name in names:
+        parent = _parent(name, known)
+        if parent is None:
+            top_time += total(name)
+        else:
+            child_time[parent] = child_time.get(parent, 0.0) + total(name)
+    top_time = top_time or 1.0
+
     rows: List[List[object]] = []
     for name in names:
         stat = phases.get(name, {"calls": 0, "total_s": 0.0})
         calls = stat["calls"]
         total_s = stat["total_s"]
         mean_ms = (total_s / calls * 1000.0) if calls else 0.0
+        self_s = (f"{total_s - child_time[name]:.4f}"
+                  if name in child_time else "")
         rows.append([
             name,
             calls,
             f"{total_s:.4f}",
+            self_s,
             f"{mean_ms:.3f}",
-            f"{100.0 * total_s / total_time:.1f}%",
+            f"{100.0 * total_s / top_time:.1f}%",
             f"{budgets.get(name, 0.0):.1f}",
         ])
     return rows
@@ -103,7 +139,8 @@ def render_report(summary: dict) -> str:
     lines = []
     if rows:
         lines.append(format_table(
-            ["phase", "calls", "total s", "mean ms", "time %", "budget"],
+            ["phase", "calls", "total s", "self s", "mean ms", "time %",
+             "budget"],
             rows,
         ))
     else:

@@ -96,6 +96,59 @@ class TestLogisticSpecifics:
         assert (clf.predict(ds.features) == ds.labels).mean() > 0.8
 
 
+def _zero_start_descent(x, y, n_classes, learning_rate=0.5, epochs=200,
+                        l2=1e-3, tol=1e-6):
+    """Zero-initialised full-batch descent, as every logistic fit ran
+    before fits continued from the current weights: the oracle a fresh
+    instance's one-shot fit must still match bit for bit."""
+    soft = np.zeros((y.shape[0], n_classes))
+    soft[np.arange(y.shape[0]), y] = 1.0
+    w = np.full(x.shape[0], 1.0 / x.shape[0])
+    weight = np.zeros((x.shape[1], n_classes))
+    bias = np.zeros(n_classes)
+    prev_loss = np.inf
+    for _ in range(epochs):
+        logits = x @ weight + bias
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        proba = ex / ex.sum(axis=1, keepdims=True)
+        err = (proba - soft) * w[:, None]
+        grad_w = x.T @ err + l2 * weight
+        grad_b = err.sum(axis=0)
+        weight = weight - learning_rate * grad_w
+        bias = bias - learning_rate * grad_b
+        loss = -float((w * (soft * np.log(proba + 1e-12)).sum(axis=1)).sum())
+        if abs(prev_loss - loss) < tol:
+            break
+        prev_loss = loss
+    return weight, bias
+
+
+class TestLogisticWarmStart:
+    def test_fresh_fit_matches_zero_start_descent(self):
+        ds = make_blobs(80, 5, n_classes=3, separation=2.0, rng=4)
+        clf = LogisticRegressionClassifier(5, 3, l2=0.02)
+        clf.fit(ds.features, ds.labels)
+        weight, bias = _zero_start_descent(ds.features, ds.labels, 3, l2=0.02)
+        np.testing.assert_array_equal(clf.weight, weight)
+        np.testing.assert_array_equal(clf.bias, bias)
+
+    def test_second_fit_soft_continues_from_first(self):
+        ds = make_blobs(80, 4, separation=2.0, rng=2)
+        soft = np.eye(2)[ds.labels] * 0.8 + 0.1
+        clf = LogisticRegressionClassifier(4, 2, epochs=5)
+        clf.fit_soft(ds.features, soft)
+        w_before = clf.weight.copy()
+        clf.fit_soft(ds.features, soft)
+        # Five more epochs from w_before, not five epochs from zero again.
+        fresh = LogisticRegressionClassifier(4, 2, epochs=5)
+        fresh.fit_soft(ds.features, soft)
+        np.testing.assert_array_equal(fresh.weight, w_before)
+        assert not np.allclose(w_before, clf.weight)
+        ten = LogisticRegressionClassifier(4, 2, epochs=10)
+        ten.fit_soft(ds.features, soft)
+        np.testing.assert_allclose(clf.weight, ten.weight, rtol=1e-12)
+
+
 class TestKNNSpecifics:
     def test_memorises_training_points(self, blobs):
         clf = KNNClassifier(2, k=1).fit(blobs.features, blobs.labels)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import CrowdRLConfig
+from repro.core.config import CrowdRLConfig, default_classifier_factory
 from repro.core.environment import Environment
 from repro.crowd.cost import BudgetManager
 from repro.crowd.platform import CrowdPlatform
@@ -65,6 +65,40 @@ class TestInferTruths:
         assert not np.allclose(before, after)
         # The expert should be estimated as the best annotator.
         assert after.argmax() == 3
+
+
+class TestJointState:
+    def test_one_joint_inference_and_classifier_per_episode(self):
+        built = []
+
+        def factory(n_features, n_classes, rng):
+            clf = default_classifier_factory(n_features, n_classes, rng)
+            built.append(clf)
+            return clf
+
+        env, _, platform = make_env(classifier_factory=factory)
+        platform.ask_batch((i, [0, 1, 2]) for i in range(20))
+        env.infer_truths()
+        joint = env._joint
+        assert joint is not None and len(built) == 1
+        assert env.classifier is built[0] is joint.fitted_classifier
+        weights = env.classifier.weight.copy()
+        platform.ask_batch((i, [0, 1, 2]) for i in range(20, 40))
+        env.infer_truths()
+        env.train_and_enrich()
+        assert env._joint is joint and len(built) == 1
+        # The jointly fitted phi is the one enrichment uses, refitted in
+        # place from its previous weights.
+        assert env.classifier is built[0]
+        assert not np.array_equal(env.classifier.weight, weights)
+
+    def test_rerun_without_new_answers_stops_at_once(self):
+        env, _, platform = make_env(inference_max_iter=200)
+        platform.ask_batch((i, [0, 1, 2]) for i in range(30))
+        first = env.infer_truths()
+        second = env.infer_truths()
+        assert first.converged and second.iterations <= 2
+        assert second.labels == first.labels
 
 
 class TestEnrichment:

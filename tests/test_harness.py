@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.harness.experiment import (
     ExperimentSetting,
+    clear_pretrained_policies,
     make_framework,
     paper_budget,
     run_comparison,
@@ -79,6 +80,28 @@ class TestRunExperiment:
         sub_result = run_experiment("OBA", setting)
         full_result = run_experiment("OBA", full)
         assert sub_result.report.n_evaluated < full_result.report.n_evaluated
+
+
+class TestPretrainedPolicyCache:
+    """The offline-policy cache is keyed by everything pretraining reads,
+    so an ablation never reuses a policy trained under another config."""
+
+    SETTING = ExperimentSetting("S12CP", scale=0.02, seed=0)
+
+    @staticmethod
+    def _fingerprint(result):
+        return (result.report.accuracy, result.report.f1,
+                result.outcome.spent, result.outcome.iterations,
+                result.outcome.final_labels.tolist())
+
+    @pytest.mark.parametrize("framework", ["M1", "M2", "M3"])
+    def test_ablation_same_cold_as_after_crowdrl(self, framework):
+        clear_pretrained_policies()
+        cold = run_experiment(framework, self.SETTING)
+        clear_pretrained_policies()
+        run_experiment("CrowdRL", self.SETTING)
+        warm = run_experiment(framework, self.SETTING)
+        assert self._fingerprint(warm) == self._fingerprint(cold)
 
 
 class TestRunComparison:

@@ -187,3 +187,32 @@ class TestJointInference:
         mean_conf_tight = np.mean([p.max() for p in r_tight.posteriors.values()])
         mean_conf_loose = np.mean([p.max() for p in r_loose.posteriors.values()])
         assert mean_conf_tight <= mean_conf_loose + 1e-6
+
+
+class TestWarmStart:
+    """One JointInference re-run as answers grow warm-starts from its last
+    call: posteriors of known objects and the classifier's weights carry
+    over (a generalised EM), new objects start from majority vote."""
+
+    def test_rerun_on_unchanged_answers_is_a_fixed_point(self):
+        dataset, platform, answers = joint_setup(expert_frac=0.3, seed=3)
+        joint = make_joint(dataset, platform, max_iter=200)
+        first = joint.infer(answers, 2, len(platform.pool))
+        assert first.converged
+        second = joint.infer(answers, 2, len(platform.pool))
+        assert second.converged and second.iterations <= 2
+        assert second.labels == first.labels
+        for oid, post in first.posteriors.items():
+            np.testing.assert_allclose(second.posteriors[oid], post, atol=1e-3)
+
+    def test_new_objects_join_a_warm_state(self):
+        dataset, platform, answers = joint_setup(n_objects=80, seed=6)
+        early = {i: answers[i] for i in range(60)}
+        warm = make_joint(dataset, platform, max_iter=200)
+        warm.infer(early, 2, len(platform.pool))
+        grown = warm.infer(answers, 2, len(platform.pool))
+        cold = make_joint(dataset, platform, max_iter=200).infer(
+            answers, 2, len(platform.pool))
+        assert sorted(grown.labels) == list(range(80))
+        agree = np.mean([grown.labels[i] == cold.labels[i] for i in range(80)])
+        assert agree >= 0.95

@@ -256,3 +256,58 @@ class TestRunIntegration:
         monkeypatch.setenv("REPRO_METRICS", "0")
         result = run_experiment("DLTA", self.SETTING, pretrain=False)
         assert result.metrics is None
+
+
+def _report_rows(text):
+    """Parse the phase table of a rendered report into {phase: cells}."""
+    lines = text.splitlines()
+    header = lines[0]
+    starts = [header.index(h) for h in
+              ("phase", "calls", "total s", "self s", "mean ms", "time %",
+               "budget")]
+    rows = {}
+    for line in lines[2:]:
+        if not line.strip():
+            break
+        cells = [line[a:b].strip() for a, b in
+                 zip(starts, starts[1:] + [len(line) + 1])]
+        rows[cells[0]] = cells
+    return rows
+
+
+class TestReportNesting:
+    SUMMARY = {
+        "phases": {
+            "collect": {"calls": 2, "total_s": 1.0},
+            "infer": {"calls": 2, "total_s": 3.0},
+            "infer.e_step": {"calls": 9, "total_s": 0.5},
+            "infer.refit": {"calls": 9, "total_s": 2.0},
+            "enrich": {"calls": 2, "total_s": 0.5},
+            "enrich.retrain": {"calls": 1, "total_s": 0.25},
+        },
+        "counters": {"budget.collect": 30.0, "budget.initial_sample": 6.0},
+        "gauges": {},
+    }
+
+    def test_time_share_is_over_top_level_phases(self):
+        rows = _report_rows(render_report(self.SUMMARY))
+        # 1.0 + 3.0 + 0.5 seconds of top-level time; children not re-added.
+        assert rows["infer"][5] == "66.7%"
+        assert rows["infer.refit"][5] == "44.4%"
+        assert rows["initial_sample"][5] == "0.0%"
+
+    def test_self_time_only_on_rows_with_children(self):
+        rows = _report_rows(render_report(self.SUMMARY))
+        assert rows["infer"][3] == "0.5000"
+        assert rows["enrich"][3] == "0.2500"
+        assert rows["collect"][3] == rows["infer.refit"][3] == ""
+
+    def test_top_level_shares_sum_to_100_on_a_real_run(self):
+        setting = ExperimentSetting("S12CP", scale=0.02, seed=0)
+        result = run_experiment("CrowdRL", setting,
+                                ExperimentSpec(metrics=True), pretrain=False)
+        rows = _report_rows(render_report(summarize_snapshot(result.metrics)))
+        assert "infer.refit" in rows and "infer" in rows
+        top = [cells for name, cells in rows.items() if "." not in name]
+        total = sum(float(cells[5].rstrip("%")) for cells in top)
+        assert total == pytest.approx(100.0, abs=0.05 * len(top))
